@@ -208,7 +208,7 @@ func main() {
 			fmt.Printf("recovered interrupted collection: %d live objects, %d moved\n",
 				res.LiveObjects, res.MovedObjects)
 		} else {
-			res, err := pgc.Collect(h, pgc.NoRoots{})
+			res, err := pgc.Collect(h, pgc.NoRoots{}, nil, 1)
 			if err != nil {
 				log.Fatal(err)
 			}

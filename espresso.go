@@ -69,7 +69,7 @@
 // # Concurrent persistent GC
 //
 // PersistentGC stops the world for the whole collection; with
-// Options.ConcurrentGC (or PersistentGCConcurrent) marking runs
+// Options.ConcurrentGC (or a PersistentGCWith mode) marking runs
 // concurrently with mutators under a snapshot-at-the-beginning barrier,
 // and only final remark + compaction pause them. Both phases are also
 // parallel: marking fans out over Options.GCWorkers work-stealing
@@ -202,12 +202,13 @@ type Options struct {
 	StrictCast bool
 	// ConcurrentGC makes PersistentGC collect with concurrent SATB
 	// marking: mutators keep allocating and storing (through the
-	// pre-write barrier) while the object graph is traced, and only
-	// final remark + compaction pause them. PersistentGCConcurrent
-	// selects the concurrent collector per call regardless.
+	// pre-write barrier) while the object graph is traced, and only the
+	// initial handshake and final remark + compaction pause them.
+	// Without it the world is held for the whole cycle. PersistentGCWith
+	// overrides the choice per call.
 	ConcurrentGC bool
-	// GCWorkers sizes the parallel GC pool: concurrent marking fans out
-	// over this many work-stealing tracers, and the compaction pause
+	// GCWorkers sizes the parallel GC pool: marking fans out over this
+	// many work-stealing tracers, and the compaction pause
 	// shards its reference-fix and fill passes over the same count.
 	// Zero (the default) means GOMAXPROCS; 1 reproduces the serial
 	// collector exactly. The resulting heap image is identical for every
@@ -352,26 +353,17 @@ func (rt *Runtime) LoadHeap(name string) error {
 }
 
 // PersistentGC forces a crash-consistent collection of a heap
-// (System.gc() for the persistent space). With Options.ConcurrentGC it
-// runs the concurrent collector.
+// (System.gc() for the persistent space), in the mode Options.ConcurrentGC
+// and Options.GCWorkers select. GCResult.PauseTime reports how long
+// mutators were held — the whole cycle, or with ConcurrentGC the
+// handshake plus the final pause — and GCResult.MarkTime the marking.
 func (rt *Runtime) PersistentGC(name string) (GCResult, error) {
 	return rt.Runtime.PersistentGC(name)
 }
 
-// PersistentGCConcurrent forces a crash-consistent collection with SATB
-// concurrent marking: mutators on other goroutines keep running while
-// the graph is traced; only final remark + compaction + the redo-log
-// finish stop the world. GCResult.PauseTime reports that stop-the-world
-// portion, GCResult.MarkTime the overlapped marking.
-func (rt *Runtime) PersistentGCConcurrent(name string) (GCResult, error) {
-	return rt.Runtime.PersistentGCConcurrent(name)
-}
-
-// PersistentGCConcurrentWorkers is PersistentGCConcurrent with an
-// explicit GC pool size, overriding Options.GCWorkers for this cycle.
-func (rt *Runtime) PersistentGCConcurrentWorkers(name string, workers int) (GCResult, error) {
-	return rt.Runtime.PersistentGCConcurrentWorkers(name, workers)
-}
+// GCMode selects how one collection runs: Runtime.PersistentGCWith takes
+// it as the per-call form of Options.ConcurrentGC and Options.GCWorkers.
+type GCMode = core.GCMode
 
 // Heap exposes a loaded heap by name (diagnostics, tooling).
 func (rt *Runtime) Heap(name string) (*pheap.Heap, bool) {

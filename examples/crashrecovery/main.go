@@ -62,7 +62,7 @@ func main() {
 				fmt.Printf("GC crashed: %v\n", r)
 			}
 		}()
-		if _, err := pgc.Collect(heap, pgc.NoRoots{}); err != nil {
+		if _, err := pgc.Collect(heap, pgc.NoRoots{}, nil, 1); err != nil {
 			log.Fatal(err)
 		}
 	}()

@@ -11,8 +11,12 @@ import (
 	"espresso/internal/telemetry/blackbox"
 )
 
-// Stop-the-world GC orchestration. The runtime supplies each collector
-// with the cross-space roots it cannot see on its own:
+// GC orchestration: the volatile collections, and the persistent
+// collection's entry points (PersistentGC / PersistentGCWith), which run
+// pgc.Collect either with the world held by the runtime for the whole
+// cycle or with the safepoint lock as its mutator handshake. The runtime
+// supplies each collector with the cross-space roots it cannot see on
+// its own:
 //
 //   - volatile collections treat runtime handles and the NVM→DRAM
 //     remembered set as roots (a persistent object may be the only thing
@@ -165,58 +169,49 @@ func (w worldLocker) StopWorld() {
 }
 func (w worldLocker) StartWorld() { w.rt.world.Unlock() }
 
+// GCMode selects how one persistent collection runs — the per-call
+// form of Config.ConcurrentGC and Config.GCWorkers (PersistentGCWith).
+type GCMode struct {
+	// Concurrent marks while mutators run, pausing them only for the
+	// initial handshake and final remark + compaction; false holds the
+	// world for the whole cycle.
+	Concurrent bool
+	// Workers sizes the GC pool that marking and the compaction passes
+	// fan out over. Zero or negative means GOMAXPROCS.
+	Workers int
+}
+
 // PersistentGC runs the crash-consistent collection of paper §4 on the
-// named heap (System.gc() for the persistent space). Mutators on other
-// goroutines are paused through the safepoint lock for the whole
-// collection; with Config.ConcurrentGC set, the concurrent collector
-// runs instead and pauses them only for handshake and compaction.
+// named heap (System.gc() for the persistent space) in the mode the
+// runtime was configured with (Config.ConcurrentGC, Config.GCWorkers).
 func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
-	if rt.cfg.ConcurrentGC {
-		return rt.PersistentGCConcurrent(name)
-	}
+	return rt.PersistentGCWith(name, GCMode{Concurrent: rt.cfg.ConcurrentGC, Workers: rt.cfg.GCWorkers})
+}
+
+// PersistentGCWith collects the named heap in an explicit mode,
+// overriding the runtime's configuration for this cycle. Mutators on
+// other goroutines are paused through the safepoint lock: for the whole
+// cycle, or — concurrently — only at the handshake and the final pause,
+// while the pre-write barrier in storeRef keeps the marking snapshot
+// consistent and allocation proceeds above the snapshotted region tops.
+func (rt *Runtime) PersistentGCWith(name string, mode GCMode) (pgc.Result, error) {
 	h, ok := rt.heapByName[name]
 	if !ok {
 		return pgc.Result{}, fmt.Errorf("core: heap %q is not loaded", name)
 	}
-	rt.gcMu.Lock()
-	defer rt.gcMu.Unlock()
-	wait := rt.lockWorldCounted()
-	defer rt.world.Unlock()
-	h.FlightRecorder().Append(blackbox.EvSafepoint,
-		rt.spWaits.Load(), rt.spWaitNS.Load(), uint64(wait))
-	return pgc.Collect(h, persRoots{rt, h})
-}
-
-// PersistentGCConcurrent collects the named heap with SATB concurrent
-// marking: the object graph is traced while mutators keep running (the
-// pre-write barrier in storeRef keeps the snapshot consistent, and
-// allocation proceeds above the snapshotted region tops), and only final
-// remark + compaction + the redo-log finish stop the world. The GC pool
-// size comes from Config.GCWorkers (zero means GOMAXPROCS).
-func (rt *Runtime) PersistentGCConcurrent(name string) (pgc.Result, error) {
-	return rt.PersistentGCConcurrentWorkers(name, rt.gcWorkers())
-}
-
-// PersistentGCConcurrentWorkers is PersistentGCConcurrent with an
-// explicit GC pool size, overriding Config.GCWorkers for this cycle.
-// workers < 1 means 1.
-func (rt *Runtime) PersistentGCConcurrentWorkers(name string, workers int) (pgc.Result, error) {
-	h, ok := rt.heapByName[name]
-	if !ok {
-		return pgc.Result{}, fmt.Errorf("core: heap %q is not loaded", name)
+	workers := mode.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	rt.gcMu.Lock()
 	defer rt.gcMu.Unlock()
-	return pgc.CollectConcurrentWorkers(h, persRoots{rt, h}, worldLocker{rt, h}, workers)
-}
-
-// gcWorkers resolves Config.GCWorkers: zero or negative means
-// GOMAXPROCS, the conventional "use the machine" default.
-func (rt *Runtime) gcWorkers() int {
-	if rt.cfg.GCWorkers > 0 {
-		return rt.cfg.GCWorkers
+	world := worldLocker{rt, h}
+	if mode.Concurrent {
+		return pgc.Collect(h, persRoots{rt, h}, world, workers)
 	}
-	return runtime.GOMAXPROCS(0)
+	world.StopWorld()
+	defer world.StartWorld()
+	return pgc.Collect(h, persRoots{rt, h}, nil, workers)
 }
 
 // rebuildNVMRemset rescans one heap's live objects for volatile

@@ -224,10 +224,6 @@ func (m *Mutator) SetRoot(name string, ref layout.Ref) error {
 	return m.rt.setRoot(name, ref)
 }
 
-// PendingRemsetDeltas reports how many remembered-set deltas this
-// mutator has recorded but not yet published (diagnostics, tests).
-func (m *Mutator) PendingRemsetDeltas() int { return m.rdelta.Pending() }
-
 // Release retires the mutator: its PLAB headroom and recycled hole go
 // back to the heap's dispenser for the next mutator to continue filling,
 // its SATB buffer is unregistered (pending barrier records are handed to

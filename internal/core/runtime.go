@@ -76,9 +76,9 @@ type Config struct {
 	// StrictCast disables the alias-Klass extension, reproducing the
 	// spurious ClassCastException of paper Figure 10. For tests and demos.
 	StrictCast bool
-	// ConcurrentGC routes PersistentGC through the concurrent collector:
-	// marking overlaps the mutators and only final remark + compaction
-	// pause the world. PersistentGCConcurrent selects it per call.
+	// ConcurrentGC makes PersistentGC mark concurrently: marking overlaps
+	// the mutators and only the handshake and final remark + compaction
+	// pause the world. PersistentGCWith selects the mode per call.
 	ConcurrentGC bool
 	// GCWorkers is the parallel GC pool size: marking fans out over this
 	// many work-stealing tracers and the compaction pause shards its
@@ -259,9 +259,6 @@ func (p SafepointPin) Unpin() { p.rt.world.RUnlock() }
 // NameManager exposes the external name manager.
 func (rt *Runtime) NameManager() *namemgr.Manager { return rt.mgr }
 
-// StringKlass returns the built-in string class.
-func (rt *Runtime) StringKlass() *klass.Klass { return rt.stringKlass }
-
 // heapOf locates the persistent heap containing ref, or nil. A one-entry
 // last-heap cache short-circuits the binary search: the bounds are
 // re-checked on every hit, so a stale entry can only miss, never lie.
@@ -282,9 +279,6 @@ func (rt *Runtime) InPersistent(ref layout.Ref) bool {
 	h := rt.heapOf(ref)
 	return h != nil && h.Contains(ref)
 }
-
-// InVolatile reports whether ref points into the volatile heap.
-func (rt *Runtime) InVolatile(ref layout.Ref) bool { return rt.vol.Contains(ref) }
 
 // KlassOf resolves the class of any object, volatile or persistent.
 func (rt *Runtime) KlassOf(ref layout.Ref) (*klass.Klass, error) {

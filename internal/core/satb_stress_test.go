@@ -52,7 +52,7 @@ func TestSATBMarkStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := rt.PersistentGCConcurrent("satb"); err != nil {
+			if _, err := rt.PersistentGCWith("satb", GCMode{Concurrent: true}); err != nil {
 				gcDone <- err
 				return
 			}
@@ -151,7 +151,7 @@ func TestSATBMarkStress(t *testing.T) {
 
 	// One quiescent concurrent cycle and one STW cycle: the floating
 	// garbage drains and the graphs still match both collectors.
-	if _, err := rt.PersistentGCConcurrent("satb"); err != nil {
+	if _, err := rt.PersistentGCWith("satb", GCMode{Concurrent: true}); err != nil {
 		t.Fatal(err)
 	}
 	verify("after final concurrent GC")

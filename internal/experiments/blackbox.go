@@ -93,13 +93,13 @@ func blackboxWorkload(h *pheap.Heap, reg *klass.Registry) error {
 	if err := burst(96, "chain-a"); err != nil {
 		return err
 	}
-	if _, err := pgc.Collect(h, pgc.NoRoots{}); err != nil {
+	if _, err := pgc.Collect(h, pgc.NoRoots{}, nil, 1); err != nil {
 		return err
 	}
 	if err := burst(96, "chain-b"); err != nil {
 		return err
 	}
-	_, err = pgc.CollectConcurrentWorkers(h, pgc.NoRoots{}, pgc.StoppedWorld{}, 1)
+	_, err = pgc.Collect(h, pgc.NoRoots{}, pgc.StoppedWorld{}, 1)
 	return err
 }
 
@@ -528,7 +528,7 @@ func blackboxGCCycleOp(enabled bool, n int) (BlackboxRow, error) {
 	seq0 := recorderSeq(h)
 	s0 := dev.Stats()
 	t0 := time.Now()
-	if _, err := pgc.Collect(h, pgc.NoRoots{}); err != nil {
+	if _, err := pgc.Collect(h, pgc.NoRoots{}, nil, 1); err != nil {
 		return BlackboxRow{}, err
 	}
 	wall := time.Since(t0)

@@ -820,7 +820,7 @@ func GCFlushCost(liveBytes int) (GCFlushResult, error) {
 			return pgc.Result{}, err
 		}
 		h.Device().SetNoFlush(noFlush)
-		return pgc.Collect(h, pgc.NoRoots{})
+		return pgc.Collect(h, pgc.NoRoots{}, nil, 1)
 	}
 	if _, err := collect(false); err != nil { // warmup
 		return GCFlushResult{}, err

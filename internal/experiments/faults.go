@@ -272,7 +272,7 @@ func (fx *faultsFixture) imgGCPhaseDroppedFlush() ([]byte, error) {
 		return nil, err
 	}
 	in := faultdev.Install(dev, faultdev.Plan{Kind: faultdev.DroppedFlush, Off: fx.gcPhaseOff, N: 8})
-	_, err = pgc.Collect(h, pgc.NoRoots{})
+	_, err = pgc.Collect(h, pgc.NoRoots{}, nil, 1)
 	in.Remove()
 	if err != nil {
 		return nil, err

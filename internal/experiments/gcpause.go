@@ -188,6 +188,7 @@ func runGCPauseSeries(series string, mutators, live, churnOps int) (GCPauseRow, 
 	// bitmap persist, which covers the heap, not the live set.
 	rt, err := core.NewRuntime(core.Config{
 		PJHDataSize: live*64 + mutators*(churnOps*64+2*layout.RegionSize) + (4 << 20),
+		GCWorkers:   1, // the stop-the-world cycles (warmup, stw series) stay single-tracer
 	})
 	if err != nil {
 		return GCPauseRow{}, err
@@ -298,7 +299,7 @@ func runGCPauseSeries(series string, mutators, live, churnOps int) (GCPauseRow, 
 			}
 			churnErr := make(chan error, 1)
 			go func() { churnErr <- churn(churnOps - churnOps/2)() }()
-			if res, err = rt.PersistentGCConcurrentWorkers("gcpause", 1); err != nil {
+			if res, err = rt.PersistentGCWith("gcpause", core.GCMode{Concurrent: true, Workers: 1}); err != nil {
 				return GCPauseRow{}, err
 			}
 			if err := <-churnErr; err != nil {
@@ -334,6 +335,7 @@ func runGCPauseSeries(series string, mutators, live, churnOps int) (GCPauseRow, 
 func runGCPauseParallelSeries(mutators, workers, live, churnOps int) (GCPauseRow, error) {
 	rt, err := core.NewRuntime(core.Config{
 		PJHDataSize: live*64 + mutators*(churnOps*64+2*layout.RegionSize) + (4 << 20),
+		GCWorkers:   1, // the stop-the-world warmups stay single-tracer
 	})
 	if err != nil {
 		return GCPauseRow{}, err
@@ -398,7 +400,7 @@ func runGCPauseParallelSeries(mutators, workers, live, churnOps int) (GCPauseRow
 		}); err != nil {
 			return GCPauseRow{}, err
 		}
-		res, err := rt.PersistentGCConcurrentWorkers("gcpause", workers)
+		res, err := rt.PersistentGCWith("gcpause", core.GCMode{Concurrent: true, Workers: workers})
 		if err != nil {
 			return GCPauseRow{}, err
 		}

@@ -323,7 +323,7 @@ func telemetrySpanCheck(scale Scale) (TelemetrySpanReport, error) {
 	}
 	m.Release()
 	t0 := time.Now()
-	if _, err := rt.PersistentGCConcurrentWorkers("telemetry", 2); err != nil {
+	if _, err := rt.PersistentGCWith("telemetry", core.GCMode{Concurrent: true, Workers: 2}); err != nil {
 		return TelemetrySpanReport{}, err
 	}
 	wall := time.Since(t0)

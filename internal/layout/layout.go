@@ -159,15 +159,15 @@ func (t FieldType) ElemSize() int {
 // Valid reports whether t is a defined field type.
 func (t FieldType) Valid() bool { return t <= FTBool }
 
-// Align16 rounds n up to the object alignment.
-func Align16(n int) int { return (n + ObjAlign - 1) &^ (ObjAlign - 1) }
+// align16 rounds n up to the object alignment.
+func align16(n int) int { return (n + ObjAlign - 1) &^ (ObjAlign - 1) }
 
 // InstanceBytes is the aligned size of an instance with nFields one-word
 // fields.
-func InstanceBytes(nFields int) int { return Align16(HeaderBytes + nFields*WordSize) }
+func InstanceBytes(nFields int) int { return align16(HeaderBytes + nFields*WordSize) }
 
 // ArrayBytes is the aligned size of an array of n elements of type t.
-func ArrayBytes(t FieldType, n int) int { return Align16(ArrayHdrBytes + n*t.ElemSize()) }
+func ArrayBytes(t FieldType, n int) int { return align16(ArrayHdrBytes + n*t.ElemSize()) }
 
 // FieldOff is the byte offset of the i-th one-word instance field.
 func FieldOff(i int) int { return HeaderBytes + i*WordSize }

@@ -47,27 +47,3 @@ func (s Subsystem) String() string {
 	}
 	return "invalid"
 }
-
-// LineSpan counts the cache lines covering [off, off+n) — the device's
-// flush granularity, exported so owner-counted attribution matches what
-// Flush will charge.
-func LineSpan(off, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (off+n-1)/LineSize - off/LineSize + 1
-}
-
-// Each visits every counter of s with its stable snake_case name, in
-// declaration order — the iteration hook for exporters that render Stats
-// without reflection.
-func (s Stats) Each(fn func(name string, v uint64)) {
-	fn("reads", s.Reads)
-	fn("bytes_read", s.BytesRead)
-	fn("writes", s.Writes)
-	fn("bytes_written", s.BytesWritten)
-	fn("flushes", s.Flushes)
-	fn("flushed_lines", s.FlushedLines)
-	fn("fences", s.Fences)
-	fn("modeled_flush_ns", s.ModeledFlushNS)
-}

@@ -6,7 +6,7 @@
 // transaction so both sides of the comparison offer the same ACID
 // guarantee. Reference stores go through ptx.Tx.WriteRefWord — the SATB
 // pre-write barrier plus a single atomic machine store — so these legacy
-// collections stay correct while pgc.CollectConcurrent marks; the
+// collections stay correct while a concurrent pgc.Collect marks; the
 // concurrent serving-oriented index lives in internal/pindex.
 package pcollections
 

@@ -197,7 +197,7 @@ func TestCollectionsSurviveReload(t *testing.T) {
 	}
 }
 
-// midMarkWorld runs the queued callback when CollectConcurrent releases
+// midMarkWorld runs the queued callback when a concurrent Collect releases
 // the world after its initial handshake — i.e. with the SATB barrier
 // armed and the snapshot taken — so the mutations exercise exactly the
 // window where an unbarriered store could hide a snapshot-reachable
@@ -248,7 +248,7 @@ func TestLegacyCollectionsSafeDuringConcurrentGC(t *testing.T) {
 			}
 		}
 	}}}
-	if _, err := pgc.CollectConcurrent(h, pgc.NoRoots{}, world); err != nil {
+	if _, err := pgc.Collect(h, pgc.NoRoots{}, world, 1); err != nil {
 		t.Fatal(err)
 	}
 	m, _ = h.GetRoot("map") // compaction may have moved everything

@@ -38,10 +38,11 @@
 // scanned (and counted) by exactly one worker no matter how many deques
 // it was pushed onto.
 //
-// The same engine runs the stop-the-world mark phase: with the snapshot
-// taken at the current tops, no mutators running, and workers=1, tracing
-// degenerates to the seed's mark loop, which is how pgc shares one
-// tracer between both collectors.
+// A stop-the-world cycle runs the same engine: with the world held from
+// the snapshot to the remark, the barrier records nothing and the
+// allocate-black sweep finds nothing, so tracing from the roots marks
+// exactly the reachable set — and with workers=1 it is the seed's serial
+// mark loop.
 package concurrent
 
 import (
@@ -73,10 +74,6 @@ type Marker struct {
 	// a trace call completes when it reaches the pool size. Reset per
 	// trace call.
 	idle atomic.Int64
-
-	// satbConsumed tallies SATB records delivered during the current
-	// trace call (DrainOnce's return value). Reset per trace call.
-	satbConsumed atomic.Int64
 
 	// maxOut[c] is the highest device offset any traced object starting
 	// in card c (pheap.SATBCardBytes granularity) points at (NoOutgoing
@@ -406,7 +403,6 @@ func (m *Marker) workerLoop(w *workerState) {
 			}
 			n := m.h.DrainSATBShard(w.id, m.workers, func(r layout.Ref) { m.pushTo(w, r) })
 			if n > 0 {
-				m.satbConsumed.Add(int64(n))
 				continue
 			}
 		}
@@ -526,15 +522,6 @@ func (m *Marker) MarkRoots(roots []layout.Ref) error {
 	return m.trace(maxDrainRounds)
 }
 
-// DrainOnce runs the pool over the SATB buffers — every worker drains
-// its shard concurrently with tracing the results — and reports how many
-// barrier records were consumed.
-func (m *Marker) DrainOnce() (int, error) {
-	m.satbConsumed.Store(0)
-	err := m.trace(maxDrainRounds)
-	return int(m.satbConsumed.Load()), err
-}
-
 // maxDrainRounds bounds each worker's SATB drain attempts within one
 // trace call: mutators that overwrite references faster than the pool
 // drains would otherwise postpone the termination barrier forever.
@@ -543,13 +530,12 @@ func (m *Marker) DrainOnce() (int, error) {
 // length does.
 const maxDrainRounds = 8
 
-// ConcurrentDrainLoop drains the SATB buffers while mutators run — the
-// pool keeps tracing until every worker hit buffer quiescence or its
-// drain budget. Mutators may still append records afterwards; the final
-// remark collects those.
+// ConcurrentDrainLoop drains the SATB buffers while mutators run — every
+// worker drains its shard concurrently with tracing the results, until
+// every worker hit buffer quiescence or its drain budget. Mutators may
+// still append records afterwards; the final remark collects those.
 func (m *Marker) ConcurrentDrainLoop() error {
-	_, err := m.DrainOnce()
-	return err
+	return m.trace(maxDrainRounds)
 }
 
 // FinalRemark completes marking with the world stopped: one last SATB
@@ -564,7 +550,7 @@ func (m *Marker) ConcurrentDrainLoop() error {
 // tail filler would pin dead space (or, past HugeThreshold, whole
 // regions) until the next cycle.
 func (m *Marker) FinalRemark(curTops []int) error {
-	if _, err := m.DrainOnce(); err != nil {
+	if err := m.trace(maxDrainRounds); err != nil {
 		return err
 	}
 	bm := m.h.MarkBitmap()

@@ -17,7 +17,7 @@ import (
 func TestCollectConcurrentPreservesGraph(t *testing.T) {
 	h, reg := newHeap(t, 4<<20)
 	m := buildGraph(t, h, reg, 42, 500, 5)
-	res, err := CollectConcurrent(h, NoRoots{}, nil)
+	res, err := Collect(h, NoRoots{}, StoppedWorld{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCollectConcurrentRepeatedAndAllocateBetween(t *testing.T) {
 	m := buildGraph(t, h, reg, 13, 400, 4)
 	node := reg.MustLookup("Node")
 	for i := 0; i < 4; i++ {
-		if _, err := CollectConcurrent(h, NoRoots{}, nil); err != nil {
+		if _, err := Collect(h, NoRoots{}, StoppedWorld{}, 1); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 		verifyGraph(t, h, m)
@@ -66,11 +66,11 @@ func TestCollectConcurrentMatchesSTWByteIdentical(t *testing.T) {
 	hSTW := build()
 	hCon := build()
 
-	rSTW, err := Collect(hSTW, NoRoots{})
+	rSTW, err := Collect(hSTW, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rCon, err := CollectConcurrent(hCon, NoRoots{}, nil)
+	rCon, err := Collect(hCon, NoRoots{}, StoppedWorld{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCollectConcurrentCrashAtEveryFlush(t *testing.T) {
 	buildGarbageBelt(t, h0, reg0, 120) // past the dead-wood budget: real moves
 	m := buildGraph(t, h0, reg0, seed, 120, 4)
 	base := h0.Device().Stats().Flushes
-	if res, err := CollectConcurrent(h0, NoRoots{}, nil); err != nil {
+	if res, err := Collect(h0, NoRoots{}, StoppedWorld{}, 1); err != nil {
 		t.Fatal(err)
 	} else if res.MovedObjects == 0 {
 		t.Fatal("workload compacted nothing; the sweep misses the move protocol")
@@ -144,7 +144,7 @@ func TestCollectConcurrentCrashAtEveryFlush(t *testing.T) {
 		}
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := CollectConcurrent(h, NoRoots{}, nil)
+			_, err := Collect(h, NoRoots{}, StoppedWorld{}, 1)
 			return err
 		})
 		if err != nil {
@@ -202,7 +202,7 @@ func TestRecoverClearsAbortedConcurrentMark(t *testing.T) {
 	}
 	verifyGraph(t, h2, m)
 	// The fresh cycle the fallback promises: a full collection works.
-	if _, err := Collect(h2, NoRoots{}); err != nil {
+	if _, err := Collect(h2, NoRoots{}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	verifyGraph(t, h2, m)
@@ -242,7 +242,7 @@ func TestCollectConcurrentAllocateBlackDuringMark(t *testing.T) {
 		h.Device().Flush(h.Geo().DataOff, h.Top()-h.Geo().DataOff)
 		h.Device().Fence()
 	}
-	res, err := CollectConcurrent(h, NoRoots{}, w)
+	res, err := Collect(h, NoRoots{}, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

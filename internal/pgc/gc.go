@@ -6,6 +6,7 @@ import (
 
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
+	"espresso/internal/pgc/concurrent"
 	"espresso/internal/pheap"
 	"espresso/internal/telemetry"
 	"espresso/internal/telemetry/blackbox"
@@ -34,18 +35,19 @@ type Result struct {
 	MovedObjects int
 	MovedBytes   int
 	NewTop       int
-	// MarkTime is the wall time spent marking: inside the pause for the
-	// stop-the-world collector, overlapped with mutators for the
-	// concurrent one.
+	// MarkTime is the wall time spent marking: inside the pause for a
+	// stop-the-world cycle (Collect with a nil World), overlapped with
+	// mutators otherwise.
 	MarkTime time.Duration
-	// PauseTime is the stop-the-world portion. For Collect and Recover it
-	// equals the whole collection; for CollectConcurrent it is the sum of
-	// the initial handshake and the final remark+compaction pause.
+	// PauseTime is the time mutators were held. For a stop-the-world
+	// cycle and for Recover it is the whole collection, marking
+	// included; with a World it is the initial handshake plus the final
+	// remark+compaction pause.
 	PauseTime time.Duration
 	// DeviceStats is the device traffic of the whole collection;
-	// PauseDeviceStats is the subset issued inside the stop-the-world
-	// windows (they coincide for the STW collector). Under a concurrent
-	// collection DeviceStats also absorbs whatever traffic mutators issue
+	// PauseDeviceStats is the subset issued while mutators were held, so
+	// the two are equal for a stop-the-world cycle and for Recover. With
+	// a World, DeviceStats also absorbs whatever traffic mutators issue
 	// while marking runs, since the device counters are shared.
 	DeviceStats      nvm.Stats
 	PauseDeviceStats nvm.Stats
@@ -77,11 +79,67 @@ type Result struct {
 	Recovered             bool // true when produced by Recover
 }
 
-// Collect runs a full crash-consistent collection of h. ext supplies (and
-// receives updates for) DRAM references into the heap; pass NoRoots{} if
-// none exist. The world must be stopped: no allocation or mutation may run
-// concurrently, as with the JVM's stop-the-world old GC.
-func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
+// World is the mutator handshake a collection pauses through. StopWorld
+// returns with every mutator parked at a safepoint (outside any heap
+// operation) and the collector exclusive; StartWorld releases them.
+// core.Runtime adapts its safepoint lock.
+type World interface {
+	StopWorld()
+	StartWorld()
+}
+
+// StoppedWorld is a World whose handshakes are no-ops, for callers whose
+// mutators are already quiescent but who want the concurrent-mark cycle
+// (persisted phase word, mode-1 journal) rather than Collect's
+// stop-the-world form — tests and single-threaded tools.
+type StoppedWorld struct{}
+
+// StopWorld is a no-op: nothing is running.
+func (StoppedWorld) StopWorld() {}
+
+// StartWorld is a no-op.
+func (StoppedWorld) StartWorld() {}
+
+// Collect runs one crash-consistent collection of h (paper §4.3). ext
+// supplies (and receives updates for) DRAM references into the heap; nil
+// means none. workers sizes the GC pool that marking and the parallel
+// compaction passes fan out over (< 1 means 1); the heap image is
+// byte-identical for every value on a quiescent heap.
+//
+// w selects how mutators overlap the cycle. With w == nil the caller
+// holds the world for the whole cycle — the JVM's stop-the-world old GC:
+// PauseTime and PauseDeviceStats cover everything, the cycle is one
+// gc.stw span, and it journals EvGCBegin with mode 0. Otherwise marking
+// runs concurrently with the mutators and w pauses them twice:
+//
+//  1. Initial handshake: detach PLABs and recycled holes
+//     (pheap.PrepareForCollection — region tops are already persisted),
+//     snapshot the region-top table, capture the root set, clear both
+//     bitmaps, arm the SATB pre-write barrier, and persist the GC-phase
+//     word as mid-concurrent-mark.
+//  2. Concurrent mark: trace the graph below the snapshot tops while
+//     mutators keep bump-allocating above them (allocate-black) and the
+//     barrier records every overwritten referent; drain those records
+//     until a drain comes back empty.
+//  3. Final pause: one last SATB drain + trace and the allocate-black
+//     sweep over everything allocated since the snapshot, then persist
+//     the bitmaps, stamp gcActive (after which the phase word is
+//     retired: the persisted bitmap now carries the cycle), summarize,
+//     compact, finish through the redo log, patch roots, republish
+//     holes.
+//
+// A stop-the-world cycle runs the same steps with the handshakes elided
+// and no phase word: with nothing running beside the marker there is no
+// mark to announce.
+//
+// Crash consistency: before gcActive is set the heap is untouched — a
+// crash leaves at most the phase word announcing the aborted mark, which
+// Recover/Load clear (fall back to a fresh cycle). After gcActive is set
+// the persisted bitmap drives the standard resumable recovery.
+func Collect(h *pheap.Heap, ext Rooter, w World, workers int) (Result, error) {
+	if workers < 1 {
+		workers = 1
+	}
 	if !h.TryBeginCollection() {
 		return Result{}, fmt.Errorf("pgc: another collection of this heap is already running")
 	}
@@ -92,119 +150,219 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	if ext == nil {
 		ext = NoRoots{}
 	}
-	start := time.Now()
-	statsBefore := h.Device().Stats()
-	tel := h.Telemetry() // nil when telemetry is disabled; every method no-ops
-
-	// A persisted concurrent-mark phase from an aborted cycle is stale —
-	// the bitmap it announced is about to be rebuilt from scratch.
-	if h.GCPhase() != pheap.GCPhaseIdle {
-		h.SetGCPhase(pheap.GCPhaseIdle)
+	stw := w == nil
+	if stw {
+		w = StoppedWorld{}
 	}
-
-	// Safepoint: detach every mutator's PLAB and recycled hole. Their
-	// region tops are already persisted (headers-before-top), so dropping
-	// the volatile bump state loses nothing; the finish step republishes
-	// all region tops from the summary.
-	h.PrepareForCollection()
+	start := time.Now()
+	dev := h.Device()
+	statsBefore := dev.Stats()
+	tel := h.Telemetry() // nil when telemetry is disabled; every method no-ops
 	fr := h.FlightRecorder()
-	fr.Append(blackbox.EvGCBegin, 0, h.GlobalTS(), 0)
 
-	// Phase 1: mark, then persist both bitmaps. The mark bitmap is the
-	// pre-collection sketch of the heap; the cleared region bitmap must be
-	// durable before the heap is stamped active, or recovery could trust
-	// stale region bits from a previous collection.
+	// Phase 1: initial handshake.
+	w.StopWorld()
+	pause1Start := time.Now()
+	p1Before := dev.Stats()
+	clearGCPhase(h) // stale announcement from an aborted cycle
+	h.PrepareForCollection()
+	h.MarkBitmap().ClearAll()
+	h.RegionBitmap().ClearAll()
+	snap := h.SnapshotRegionTops()
+	roots := heapRoots(h, ext)
+	h.BeginConcurrentMark(snap)
+	mode := uint64(0)
+	if !stw {
+		h.SetGCPhase(pheap.GCPhaseConcurrentMark)
+		mode = 1
+	}
+	fr.Append(blackbox.EvGCBegin, mode, h.GlobalTS(), 0)
+	pauseStats := dev.Stats().Sub(p1Before)
+	pause1 := time.Since(pause1Start)
+	w.StartWorld()
+	tel.RecordSpan(telemetry.SpanGCHandshake, -1, -1, pause1Start, pause1)
+
+	// Phase 2: concurrent mark. Any error aborts the cycle: disarm the
+	// barrier under a pause and clear the phase word — nothing has moved.
 	markStart := time.Now()
-	mk, err := mark(h, ext, 1)
-	if err != nil {
+	mk := concurrent.NewMarker(h, snap, workers)
+	abort := func(err error) (Result, error) {
+		w.StopWorld()
+		h.EndConcurrentMark()
+		clearGCPhase(h)
+		fr.Append(blackbox.EvGCAbort, h.GlobalTS(), 0, 0)
+		w.StartWorld()
 		return Result{}, err
 	}
-	liveObjects, liveBytes := mk.Counts()
+	if err := mk.MarkRoots(roots); err != nil {
+		return abort(err)
+	}
+	if err := mk.ConcurrentDrainLoop(); err != nil {
+		return abort(err)
+	}
 	markTime := time.Since(markStart)
+	tel.RecordSpan(telemetry.SpanGCMark, -1, -1, markStart, markTime)
+	// Snapshot the workers' locally-tallied device traffic now, while it
+	// covers exactly the concurrent phase: these reads and writes were
+	// folded into the shared counters between the pauses (or will be
+	// folded during pause 2, for the remark's share), so the pause-window
+	// deltas below miss precisely this amount. Mutator traffic during
+	// marking is attributed at its own call sites and never lands here.
+	var concStats nvm.Stats
+	for _, ws := range mk.MarkWorkerStats() {
+		concStats = concStats.Add(ws)
+	}
+
+	// Phase 3: final pause.
+	w.StopWorld()
+	pause2Start := time.Now()
+	p2Before := dev.Stats()
+	finalErr := func(err error) (Result, error) {
+		clearGCPhase(h)
+		fr.Append(blackbox.EvGCAbort, h.GlobalTS(), 0, 0)
+		w.StartWorld()
+		return Result{}, err
+	}
+	h.PrepareForCollection() // mutators attached fresh PLABs while marking ran
+	h.EndConcurrentMark()
+	dirtyRegions := h.SATBDirtyCards()
+	remarkStart := time.Now()
+	if err := mk.FinalRemark(h.SnapshotRegionTops()); err != nil {
+		return finalErr(err)
+	}
+	tel.RecordSpan(telemetry.SpanGCRemark, -1, -1, remarkStart, time.Since(remarkStart))
+	// Both bitmaps must be durable before the stamp: recovery plans from
+	// the mark bitmap and trusts the region bits, so a stale bit from a
+	// previous cycle must not survive into this one.
+	liveObjects, liveBytes := mk.Counts()
 	h.PersistMarkBitmapUsed()
 	h.RegionBitmap().Persist()
 	fr.Append(blackbox.EvGCMarkDone, uint64(liveObjects), uint64(liveBytes), 0)
 
-	// Phase 2: stamp the heap mid-collection (timestamp first, flag second;
-	// see pheap.SetGCState for why the order matters).
+	// Stamp the heap mid-collection (timestamp first, flag second; see
+	// pheap.SetGCState for why the order matters). The phase word retires
+	// once gcActive carries the cycle — the persisted bitmap is complete,
+	// so recovery resumes the compaction rather than discarding the mark.
 	cur := h.GlobalTS() + 1
 	h.SetGCState(cur, true)
+	clearGCPhase(h)
 	fr.Append(blackbox.EvGCStamp, cur, uint64(liveObjects), uint64(liveBytes))
-
-	// Phase 3: summary — idempotent, derived from the bitmap alone.
+	// Summary: idempotent, derived from the bitmap alone. Nothing has
+	// moved yet, so a failure un-stamps the heap.
 	sumStart := time.Now()
 	s, err := Summarize(h)
 	if err != nil {
-		// Nothing has moved; un-stamp the heap and report.
 		h.SetGCState(cur, false)
-		return Result{}, err
+		return finalErr(err)
 	}
+	sumTime := time.Since(sumStart)
 	if s.LiveObjects != liveObjects || s.LiveBytes != liveBytes {
 		h.SetGCState(cur, false)
-		return Result{}, fmt.Errorf("pgc: summary disagrees with marking: %d/%d objects, %d/%d bytes",
-			s.LiveObjects, liveObjects, s.LiveBytes, liveBytes)
+		return finalErr(fmt.Errorf("pgc: summary disagrees with marking: %d/%d objects, %d/%d bytes",
+			s.LiveObjects, liveObjects, s.LiveBytes, liveBytes))
 	}
-
-	// Phase 4: compact. Recycling state refers to the pre-GC layout and
-	// must be dropped before anything moves. The marker's outgoing-
-	// reference summary lets the compactor skip re-scanning regions that
-	// cannot reference moved objects (no dirty cards here: the world is
-	// stopped, so the trace saw every store).
-	sumTime := time.Since(sumStart)
-	h.ResetFreeHoles()
-	compactStart := time.Now()
-	cr := compact(h, s, cur, buildCleanCards(s, mk.MaxOutgoing(), nil), 1)
-	compactTime := time.Since(compactStart)
-	fr.Append(blackbox.EvGCCompactDone, uint64(s.MovedObjects), uint64(s.MovedBytes), 0)
-
-	// Phase 5: finish atomically via the redo log, then patch DRAM roots
-	// and hand the filler-covered gaps back to the allocator.
-	redoBefore := h.Device().Stats()
-	redoStart := time.Now()
-	finish(h, s, cr.topEntries)
-	redoStats := h.Device().Stats().Sub(redoBefore)
-	redoTime := time.Since(redoStart)
+	// The compactor skips reference fixing for regions the marker proved
+	// free of references to moved objects; the barrier's dirty cards veto
+	// regions mutated after their objects were traced. This is what keeps
+	// the pause proportional to churn + moves, not to everything live.
+	rl := relocate(h, s, cur, buildCleanCards(s, mk.MaxOutgoing(), dirtyRegions), workers, fr)
 	ext.UpdateRoots(s.Forward)
-	h.SetFreeHoles(cr.holes)
 	fr.Append(blackbox.EvGCEnd, uint64(s.LiveObjects), uint64(s.MovedObjects), uint64(s.NewTop))
 	snapCounters(h, fr)
+	pauseStats = pauseStats.Add(dev.Stats().Sub(p2Before))
+	pause2 := time.Since(pause2Start)
+	w.StartWorld()
 
-	stats := h.Device().Stats().Sub(statsBefore)
-	// Phase timeline + device attribution. The world is stopped for the
-	// whole cycle, so the full stats delta is GC traffic; the redo-log
-	// finish window is split out under its own subsystem.
-	tel.RecordSpan(telemetry.SpanGCMark, -1, -1, markStart, markTime)
-	tel.RecordSpan(telemetry.SpanGCSummarize, -1, -1, sumStart, sumTime)
-	tel.RecordSpan(telemetry.SpanGCCompact, -1, -1, compactStart, compactTime)
-	tel.RecordSpan(telemetry.SpanGCRedo, -1, -1, redoStart, redoTime)
-	tel.RecordSpan(telemetry.SpanGCSTW, -1, -1, start, time.Since(start))
-	for i, d := range mk.MarkWorkerTimes() {
-		tel.RecordSpan(telemetry.SpanGCMarkWorker, -1, i, markStart, d)
-	}
-	for i, d := range cr.fixWorkerTimes {
-		tel.RecordSpan(telemetry.SpanGCFixWorker, -1, i, compactStart, d)
-	}
-	if sc := tel.Shared(); sc != nil {
-		sc.AtomicInc(telemetry.CtrGCCycles)
-		sc.AtomicDevStats(nvm.SubGC, stats.Sub(redoStats))
-		sc.AtomicDevStats(nvm.SubRedo, redoStats)
-	}
-	return Result{
+	res := Result{
 		LiveObjects:           s.LiveObjects,
 		LiveBytes:             s.LiveBytes,
 		MovedObjects:          s.MovedObjects,
 		MovedBytes:            s.MovedBytes,
 		NewTop:                s.NewTop,
 		MarkTime:              markTime,
-		PauseTime:             time.Since(start),
-		DeviceStats:           stats,
-		PauseDeviceStats:      stats,
+		PauseTime:             pause1 + pause2,
+		DeviceStats:           dev.Stats().Sub(statsBefore),
+		PauseDeviceStats:      pauseStats,
 		MarkWorkerStats:       mk.MarkWorkerStats(),
-		CompactFixWorkerStats: cr.fixWorkerStats,
-		CompactSerialStats:    cr.serialStats,
+		CompactFixWorkerStats: rl.cr.fixWorkerStats,
+		CompactSerialStats:    rl.cr.serialStats,
 		MarkWorkerTimes:       mk.MarkWorkerTimes(),
-		CompactFixWorkerTimes: cr.fixWorkerTimes,
-	}, nil
+		CompactFixWorkerTimes: rl.cr.fixWorkerTimes,
+	}
+	// GC device traffic is the two pause windows plus the concurrent-
+	// phase worker traffic snapshotted above, minus the redo-log finish
+	// window, which gets its own subsystem. With the world held
+	// throughout, the whole cycle is one pause: marking included.
+	gcStats := pauseStats.Add(concStats)
+	pauseSpan, pauseSpanStart, pauseSpanLen := telemetry.SpanGCFinalPause, pause2Start, pause2
+	if stw {
+		res.PauseTime = time.Since(start)
+		res.PauseDeviceStats = res.DeviceStats
+		gcStats = res.DeviceStats
+		pauseSpan, pauseSpanStart, pauseSpanLen = telemetry.SpanGCSTW, start, res.PauseTime
+	}
+
+	// Phase timeline + device attribution, recorded after the world
+	// restarts (the span ring is DRAM-only; nothing here holds the pause
+	// open).
+	tel.RecordSpan(telemetry.SpanGCSummarize, -1, -1, sumStart, sumTime)
+	tel.RecordSpan(telemetry.SpanGCCompact, -1, -1, rl.compactStart, rl.compactTime)
+	tel.RecordSpan(telemetry.SpanGCRedo, -1, -1, rl.redoStart, rl.redoTime)
+	tel.RecordSpan(pauseSpan, -1, -1, pauseSpanStart, pauseSpanLen)
+	for i, d := range res.MarkWorkerTimes {
+		tel.RecordSpan(telemetry.SpanGCMarkWorker, -1, i, markStart, d)
+	}
+	for i, d := range res.CompactFixWorkerTimes {
+		tel.RecordSpan(telemetry.SpanGCFixWorker, -1, i, rl.compactStart, d)
+	}
+	if sc := tel.Shared(); sc != nil {
+		sc.AtomicInc(telemetry.CtrGCCycles)
+		sc.AtomicDevStats(nvm.SubGC, gcStats.Sub(rl.redoStats))
+		sc.AtomicDevStats(nvm.SubRedo, rl.redoStats)
+	}
+	return res, nil
+}
+
+// clearGCPhase retires a persisted concurrent-mark announcement; an idle
+// word is left alone, so a cycle that never announced one pays no flush.
+func clearGCPhase(h *pheap.Heap) {
+	if h.GCPhase() != pheap.GCPhaseIdle {
+		h.SetGCPhase(pheap.GCPhaseIdle)
+	}
+}
+
+// relocation reports the compaction and redo-finish windows of relocate
+// for the caller's spans and device attribution.
+type relocation struct {
+	cr                      compactResult
+	compactStart, redoStart time.Time
+	compactTime, redoTime   time.Duration
+	redoStats               nvm.Stats
+}
+
+// relocate is the tail every cycle shares, recovery included: drop the
+// recycling state (it describes the pre-GC layout), run the summary's
+// compaction, commit it through the redo log, and hand the
+// filler-covered gaps back to the allocators. A phase word still
+// announcing a concurrent mark is stale once gcActive carries the cycle,
+// so it is cleared before the finish batch retires gcActive (a crash in
+// between leaves gcActive set and reruns recovery). fr journals the end
+// of compaction; Recover passes nil, journaling its replay as one event.
+func relocate(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool, workers int, fr *blackbox.Recorder) relocation {
+	var rl relocation
+	h.ResetFreeHoles()
+	rl.compactStart = time.Now()
+	rl.cr = compact(h, s, cur, cleanCard, workers)
+	rl.compactTime = time.Since(rl.compactStart)
+	fr.Append(blackbox.EvGCCompactDone, uint64(s.MovedObjects), uint64(s.MovedBytes), 0)
+	clearGCPhase(h)
+	redoBefore := h.Device().Stats()
+	rl.redoStart = time.Now()
+	finish(h, s, rl.cr.topEntries)
+	rl.redoStats = h.Device().Stats().Sub(redoBefore)
+	rl.redoTime = time.Since(rl.redoStart)
+	h.SetFreeHoles(rl.cr.holes)
+	return rl
 }
 
 // finish commits the collection's metadata transition — forwarded root
@@ -256,15 +414,6 @@ func recyclableOf(lo, hi int) (pheap.Hole, bool) {
 	return pheap.Hole{Lo: alignedLo, Hi: alignedHi}, true
 }
 
-// Recover finishes an interrupted collection on a freshly loaded heap
-// (paper §4.3): refetch the mark bitmap, redo the summary, process the
-// regions the region bitmap and source timestamps report unfinished, and
-// rerun the atomic finish. It is a no-op on a heap that is not
-// mid-collection — except that it clears a leftover concurrent-mark
-// phase word: with gcActive clear, that word means the crash interrupted
-// marking before anything moved, so the recovery is "discard the partial
-// mark, start the next cycle fresh" (the STW fallback). Recovery itself
-// may crash and be rerun: every step is idempotent.
 // RecoverIfNeeded runs Recover only when the heap's persisted state says
 // a collection (or a stale concurrent-mark announcement) was interrupted,
 // reporting whether recovery ran. A clean image pays nothing: the check
@@ -278,15 +427,23 @@ func RecoverIfNeeded(h *pheap.Heap) (Result, bool, error) {
 	return r, true, err
 }
 
+// Recover finishes an interrupted collection on a freshly loaded heap
+// (paper §4.3): refetch the mark bitmap, redo the summary, process the
+// regions the region bitmap and source timestamps report unfinished, and
+// rerun the atomic finish — the same relocate step a live cycle ends
+// with. It is a no-op on a heap that is not mid-collection — except that
+// it clears a leftover concurrent-mark phase word: with gcActive clear,
+// that word means the crash interrupted marking before anything moved,
+// so the recovery is "discard the partial mark, start the next cycle
+// fresh". Recovery itself may crash and be rerun: every step is
+// idempotent.
 func Recover(h *pheap.Heap) (Result, error) {
 	if !h.TryBeginCollection() {
 		return Result{}, fmt.Errorf("pgc: another collection of this heap is already running")
 	}
 	defer h.EndCollection()
 	if !h.GCActive() {
-		if h.GCPhase() != pheap.GCPhaseIdle {
-			h.SetGCPhase(pheap.GCPhaseIdle)
-		}
+		clearGCPhase(h)
 		return Result{}, nil
 	}
 	start := time.Now()
@@ -302,17 +459,7 @@ func Recover(h *pheap.Heap) (Result, error) {
 	// with the crashed process), so it conservatively rescans everything
 	// — and runs single-threaded: recovery is rare, and one worker keeps
 	// its flush ordering identical to the historical serial compactor.
-	h.ResetFreeHoles()
-	cr := compact(h, s, h.GlobalTS(), nil, 1)
-	// The mark bitmap was fully persisted before gcActive was set, so a
-	// phase word still announcing the concurrent mark is stale — clear it
-	// before the finish batch retires gcActive. A crash in between leaves
-	// gcActive set and reruns this recovery.
-	if h.GCPhase() != pheap.GCPhaseIdle {
-		h.SetGCPhase(pheap.GCPhaseIdle)
-	}
-	finish(h, s, cr.topEntries)
-	h.SetFreeHoles(cr.holes)
+	relocate(h, s, h.GlobalTS(), nil, 1, nil)
 	fr.Append(blackbox.EvRecoveryGCEnd, uint64(s.LiveObjects), uint64(s.MovedObjects), uint64(s.NewTop))
 	stats := h.Device().Stats().Sub(statsBefore)
 	// The whole replay is one recovery event: one span, all device

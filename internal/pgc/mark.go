@@ -2,7 +2,6 @@ package pgc
 
 import (
 	"espresso/internal/layout"
-	"espresso/internal/pgc/concurrent"
 	"espresso/internal/pheap"
 )
 
@@ -30,8 +29,8 @@ func (NoRoots) Roots(func(layout.Ref)) {}
 func (NoRoots) UpdateRoots(func(layout.Ref) layout.Ref) {}
 
 // heapRoots collects the snapshot root set: name-table roots plus ext's
-// roots, filtered to references into h. Both collectors capture roots
-// through it with the world stopped.
+// roots, filtered to references into h. Collect captures it at the
+// initial handshake, with the world stopped.
 func heapRoots(h *pheap.Heap, ext Rooter) []layout.Ref {
 	var roots []layout.Ref
 	add := func(ref layout.Ref) {
@@ -46,20 +45,4 @@ func heapRoots(h *pheap.Heap, ext Rooter) []layout.Ref {
 		ext.Roots(add)
 	}
 	return roots
-}
-
-// mark traces the heap from the name-table roots plus ext's roots,
-// setting begin and end bits in the mark bitmap for every live object,
-// and returns the marker (counts, outgoing-reference summary). The
-// tracer is the shared SATB engine run with the snapshot at the current
-// tops — with the world stopped that covers every object, so with one
-// worker it degenerates to the seed's stop-the-world mark.
-func mark(h *pheap.Heap, ext Rooter, workers int) (*concurrent.Marker, error) {
-	h.MarkBitmap().ClearAll()
-	h.RegionBitmap().ClearAll()
-	mk := concurrent.NewMarker(h, h.SnapshotRegionTops(), workers)
-	if err := mk.MarkRoots(heapRoots(h, ext)); err != nil {
-		return nil, err
-	}
-	return mk, nil
 }

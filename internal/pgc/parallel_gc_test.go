@@ -82,7 +82,7 @@ func TestSummaryDeadWoodBudget(t *testing.T) {
 	h.Device().Flush(h.Geo().DataOff, h.Top()-h.Geo().DataOff)
 	h.Device().Fence()
 	top := h.Top()
-	res, err := Collect(h, NoRoots{})
+	res, err := Collect(h, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSummaryDeadWoodBudget(t *testing.T) {
 	if want := (270 - live) * node.SizeOf(0); fillerBytes != want {
 		t.Fatalf("light garbage: %d filler bytes, want %d (interior gaps unplugged)", fillerBytes, want)
 	}
-	if res2, err := Collect(h, NoRoots{}); err != nil || res2.MovedObjects != 0 || res2.LiveObjects != live {
+	if res2, err := Collect(h, NoRoots{}, nil, 1); err != nil || res2.MovedObjects != 0 || res2.LiveObjects != live {
 		t.Fatalf("second collection not a fixpoint: %+v %v", res2, err)
 	}
 
@@ -117,7 +117,7 @@ func TestSummaryDeadWoodBudget(t *testing.T) {
 	buildGarbageBelt(t, h2, reg2, 200)
 	m2 := buildGraph(t, h2, reg2, 5, 100, 3)
 	want2 := len(m2.reachable())
-	res, err = Collect(h2, NoRoots{})
+	res, err = Collect(h2, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 		return h
 	}
 	h1 := build()
-	r1, err := CollectConcurrentWorkers(h1, NoRoots{}, nil, 1)
+	r1, err := Collect(h1, NoRoots{}, StoppedWorld{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 8} {
 		hN := build()
-		rN, err := CollectConcurrentWorkers(hN, NoRoots{}, nil, workers)
+		rN, err := Collect(hN, NoRoots{}, StoppedWorld{}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -279,7 +279,7 @@ func TestCollectParallelCrashAtEveryFlush(t *testing.T) {
 	buildGarbageBelt(t, h0, reg0, 120)
 	m := buildGraph(t, h0, reg0, seed, 120, 4)
 	base := h0.Device().Stats().Flushes
-	if res, err := CollectConcurrentWorkers(h0, NoRoots{}, nil, 4); err != nil {
+	if res, err := Collect(h0, NoRoots{}, StoppedWorld{}, 4); err != nil {
 		t.Fatal(err)
 	} else if res.MovedObjects == 0 {
 		t.Fatal("workload compacted nothing; the sweep misses the move protocol")
@@ -309,7 +309,7 @@ func TestCollectParallelCrashAtEveryFlush(t *testing.T) {
 		}
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := CollectConcurrentWorkers(h, NoRoots{}, nil, 4)
+			_, err := Collect(h, NoRoots{}, StoppedWorld{}, 4)
 			return err
 		})
 		if err != nil {
@@ -372,7 +372,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 		preTops[r] = hClean.Device().ReadU64(hClean.RegionTopMetaOff(r))
 	}
 	base := hClean.Device().Stats().Flushes
-	res, err := CollectConcurrentWorkers(hClean, NoRoots{}, nil, 4)
+	res, err := Collect(hClean, NoRoots{}, StoppedWorld{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 		}
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := CollectConcurrentWorkers(h, NoRoots{}, nil, 4)
+			_, err := Collect(h, NoRoots{}, StoppedWorld{}, 4)
 			return err
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package pgc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
 	"espresso/internal/nvm/faultdev"
+	"espresso/internal/pgc/concurrent"
 	"espresso/internal/pheap"
 )
 
@@ -161,6 +163,16 @@ func verifyGraph(t testing.TB, h *pheap.Heap, m *model) {
 	}
 }
 
+// markLive runs the collector's tracer alone, leaving h's mark bitmap
+// describing the live set — the input Summarize plans from.
+func markLive(t testing.TB, h *pheap.Heap) {
+	t.Helper()
+	h.MarkBitmap().ClearAll()
+	if err := concurrent.NewMarker(h, h.SnapshotRegionTops(), 1).MarkRoots(heapRoots(h, NoRoots{})); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func newHeap(t testing.TB, dataSize int) (*pheap.Heap, *klass.Registry) {
 	t.Helper()
 	reg := klass.NewRegistry()
@@ -175,7 +187,7 @@ func TestCollectPreservesGraphAndReclaims(t *testing.T) {
 	h, reg := newHeap(t, 4<<20)
 	m := buildGraph(t, h, reg, 42, 500, 5)
 	freeBefore := h.FreeBytes()
-	res, err := Collect(h, NoRoots{})
+	res, err := Collect(h, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +205,7 @@ func TestCollectPreservesGraphAndReclaims(t *testing.T) {
 
 func TestCollectEmptyHeap(t *testing.T) {
 	h, _ := newHeap(t, 1<<20)
-	res, err := Collect(h, NoRoots{})
+	res, err := Collect(h, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +222,7 @@ func TestCollectAllGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := Collect(h, NoRoots{})
+	res, err := Collect(h, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +242,7 @@ func TestSummaryIdempotent(t *testing.T) {
 	h, reg := newHeap(t, 4<<20)
 	buildGarbageBelt(t, h, reg, 150) // past the dead-wood budget: real moves
 	buildGraph(t, h, reg, 7, 300, 4)
-	if _, err := mark(h, NoRoots{}, 1); err != nil {
-		t.Fatal(err)
-	}
+	markLive(t, h)
 	h.MarkBitmap().Persist()
 	s1, err := Summarize(h)
 	if err != nil {
@@ -257,9 +267,7 @@ func TestSummaryInvariants(t *testing.T) {
 	h, reg := newHeap(t, 4<<20)
 	buildGarbageBelt(t, h, reg, 200) // past the dead-wood budget: real moves
 	buildGraph(t, h, reg, 11, 400, 3)
-	if _, err := mark(h, NoRoots{}, 1); err != nil {
-		t.Fatal(err)
-	}
+	markLive(t, h)
 	s, err := Summarize(h)
 	if err != nil {
 		t.Fatal(err)
@@ -273,19 +281,30 @@ func TestSummaryInvariants(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("no evacuations; the invariants below are vacuous")
 	}
-	destOverlap := map[int]int{} // dst offset → size (check non-overlap)
+	checkSummaryInvariants(t, h, s)
+}
+
+// checkSummaryInvariants asserts the placement rules the compactor's
+// source-as-undo-log protocol relies on: moves ascend by source, no
+// ordinary object is placed across a region boundary or inside its own
+// source region, and final extents never overlap.
+func checkSummaryInvariants(t *testing.T, h *pheap.Heap, s *Summary) {
+	t.Helper()
+	regionOf := func(off int) int { return (off - h.Geo().DataOff) / layout.RegionSize }
 	for i, mv := range s.Moves {
 		if i > 0 && mv.Src <= s.Moves[i-1].Src {
 			t.Fatal("moves not ascending by src")
 		}
-		srcRegion := (mv.Src - h.Geo().DataOff) / layout.RegionSize
-		dstRegion := (mv.Dst - h.Geo().DataOff) / layout.RegionSize
-		if mv.Dst != mv.Src && srcRegion == dstRegion {
-			t.Fatalf("move %d: destination in its own source region", i)
+		if mv.Dst == mv.Src {
+			continue
 		}
-		destOverlap[mv.Dst] = mv.Size
+		if regionOf(mv.Dst) != regionOf(mv.Dst+mv.Size-1) {
+			t.Fatalf("move %d %+v: destination straddles a region boundary", i, mv)
+		}
+		if regionOf(mv.Src) == regionOf(mv.Dst) {
+			t.Fatalf("move %d %+v: destination in its own source region", i, mv)
+		}
 	}
-	// Destinations must not overlap.
 	prevEnd := -1
 	for _, mv := range sortedByDst(s.Moves) {
 		if mv.Dst < prevEnd {
@@ -293,7 +312,78 @@ func TestSummaryInvariants(t *testing.T) {
 		}
 		prevEnd = mv.Dst + mv.Size
 	}
-	_ = destOverlap
+}
+
+// TestSummaryPlacementRandomLayouts checks the placement invariants over
+// random mark bitmaps built region by region: dense regions packed to
+// within a sliver of their end (the tails repeated collections under
+// index deletes leave, too small for the next object), sparse and empty
+// regions that push the dense prefix's dead-wood budget over so later
+// objects move, and pinned humongous objects whose tail regions hold
+// ordinary objects. The summary reads the bitmap alone, so the layouts
+// are written straight into it.
+func TestSummaryPlacementRandomLayouts(t *testing.T) {
+	const regions = 8
+	h, reg := newHeap(t, regions*layout.RegionSize)
+	node := nodeKlass(reg)
+	for { // push every region top to its end so the whole bitmap is scanned
+		if _, err := h.Alloc(node, 0); err != nil {
+			break
+		}
+	}
+	geo := h.Geo()
+	bm := h.MarkBitmap()
+	moved := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		words := func(lo, hi int) int { return (lo + rng.Intn(hi-lo+1)) * layout.WordSize }
+		setLive := func(off, size int) {
+			bm.Set((off - geo.DataOff) / layout.WordSize)
+			bm.Set((off-geo.DataOff+size)/layout.WordSize - 1)
+		}
+		// fill lays out [off, end): densely packed live objects up to a
+		// sliver, or live objects scattered through garbage.
+		fill := func(off, end int, dense bool) {
+			if dense {
+				end -= words(0, 5)
+			}
+			for off+2*layout.WordSize <= end {
+				size := min(words(2, 64), end-off)
+				if dense || rng.Intn(20) == 0 {
+					setLive(off, size)
+				} else {
+					size = min(words(64, 4096), end-off)
+				}
+				off += size
+			}
+		}
+		bm.ClearAll()
+		for r := 0; r < regions; r++ {
+			start := geo.DataOff + r*layout.RegionSize
+			switch p := rng.Intn(10); {
+			case p < 1 && r+1 < regions: // humongous, its tail shared
+				size := pheap.HugeThreshold + words(1, layout.RegionSize/layout.WordSize)
+				setLive(start, size)
+				r = (start + size - geo.DataOff) / layout.RegionSize
+				fill(start+size, geo.DataOff+(r+1)*layout.RegionSize, rng.Intn(2) == 0)
+			case p < 2: // empty
+			default:
+				fill(start, start+layout.RegionSize, p < 6)
+			}
+		}
+		s, err := Summarize(h)
+		if errors.Is(err, ErrNoSpaceToCompact) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		moved += s.MovedObjects
+		checkSummaryInvariants(t, h, s)
+	}
+	if moved == 0 {
+		t.Fatal("no layout moved anything; the invariants are vacuous")
+	}
 }
 
 func sortedByDst(moves []Move) []Move {
@@ -310,7 +400,7 @@ func TestRepeatedCollections(t *testing.T) {
 	h, reg := newHeap(t, 4<<20)
 	m := buildGraph(t, h, reg, 13, 400, 4)
 	for i := 0; i < 4; i++ {
-		if _, err := Collect(h, NoRoots{}); err != nil {
+		if _, err := Collect(h, NoRoots{}, nil, 1); err != nil {
 			t.Fatalf("collection %d: %v", i, err)
 		}
 		verifyGraph(t, h, m)
@@ -320,7 +410,7 @@ func TestRepeatedCollections(t *testing.T) {
 func TestAllocateAfterCollect(t *testing.T) {
 	h, reg := newHeap(t, 4<<20)
 	m := buildGraph(t, h, reg, 17, 300, 3)
-	if _, err := Collect(h, NoRoots{}); err != nil {
+	if _, err := Collect(h, NoRoots{}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	node := reg.MustLookup("Node")
@@ -330,7 +420,7 @@ func TestAllocateAfterCollect(t *testing.T) {
 		}
 	}
 	verifyGraph(t, h, m)
-	if _, err := Collect(h, NoRoots{}); err != nil {
+	if _, err := Collect(h, NoRoots{}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	verifyGraph(t, h, m)
@@ -364,7 +454,7 @@ func TestExternalRootsKeepAliveAndGetUpdated(t *testing.T) {
 	h.SetWord(ref, layout.FieldOff(fID), 777)
 	h.FlushRange(ref, 0, node.SizeOf(0))
 	ext := &sliceRooter{slots: []layout.Ref{ref}}
-	res, err := Collect(h, ext)
+	res, err := Collect(h, ext, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +487,7 @@ func TestHumongousPinnedByGC(t *testing.T) {
 	h.SetRoot("huge", huge)
 	h.SetRoot("keep", keep)
 	h.Device().FlushAll()
-	if _, err := Collect(h, NoRoots{}); err != nil {
+	if _, err := Collect(h, NoRoots{}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := h.GetRoot("huge")
@@ -431,7 +521,7 @@ func TestCrashDuringGCAtEveryFlush(t *testing.T) {
 	buildGarbageBelt(t, h0, reg0, 120)
 	m := buildGraph(t, h0, reg0, seed, 120, 4)
 	base := h0.Device().Stats().Flushes
-	if res, err := Collect(h0, NoRoots{}); err != nil {
+	if res, err := Collect(h0, NoRoots{}, nil, 1); err != nil {
 		t.Fatal(err)
 	} else if res.MovedObjects == 0 {
 		t.Fatal("workload compacted nothing; the sweep misses the move protocol")
@@ -462,7 +552,7 @@ func TestCrashDuringGCAtEveryFlush(t *testing.T) {
 		}
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := Collect(h, NoRoots{})
+			_, err := Collect(h, NoRoots{}, nil, 1)
 			return err
 		})
 		if err != nil {
@@ -497,7 +587,7 @@ func TestCrashDuringRecoveryItself(t *testing.T) {
 	m := buildGraph(t, h, reg, seed, 100, 3)
 	faultdev.CrashIn(h.Device(), 40)
 	if _, err := faultdev.Run(h.Device(), func() error {
-		_, err := Collect(h, NoRoots{})
+		_, err := Collect(h, NoRoots{}, nil, 1)
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -541,13 +631,13 @@ func TestGCFlushOverheadMeasurable(t *testing.T) {
 		return h
 	}
 	h1 := build()
-	r1, err := Collect(h1, NoRoots{})
+	r1, err := Collect(h1, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h2 := build()
 	h2.Device().SetNoFlush(true)
-	r2, err := Collect(h2, NoRoots{})
+	r2, err := Collect(h2, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestHoleRefillConcurrentWithAdjacentFlush(t *testing.T) {
 	if err := h.SetRoot("chain", prev); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Collect(h, NoRoots{}); err != nil {
+	if _, err := Collect(h, NoRoots{}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -108,8 +108,8 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 	}
 
 	// Decode (begin,end) mark-bit pairs into (src,size) runs with one
-	// device read per bitmap word (ForEachSet), so the summary's cost is
-	// proportional to the bitmap, not to the object count. The size of
+	// device read per bitmap word (ForEachSetBelow), so the summary's
+	// cost is proportional to the bitmap, not to the object count. The size of
 	// every live object is recoverable from the bitmap alone, which is
 	// what makes this phase rerunnable after a crash even when source
 	// bytes have been overwritten.
@@ -216,16 +216,25 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 		case o.src+o.size <= densePrefixEnd:
 			dst = o.src
 		case o.size > pheap.HugeThreshold:
-			// Pinned humongous object: allocated on exclusive region-
-			// aligned runs, stays put; its final region's tail becomes
-			// destination space immediately (nothing else lives there).
+			// Pinned humongous object: allocated on region-aligned runs,
+			// stays put. Its final region's tail becomes destination
+			// space immediately when no other object starts there.
+			// Otherwise (an earlier cycle packed objects into the tail)
+			// that region's last object pushes the same offset — its
+			// in-place prefix covers the humongous tail — and a second
+			// push here would hand the space out twice.
 			dst = o.src
 			tail := o.src + o.size
-			if tail%layout.RegionSize != 0 {
+			if tail%layout.RegionSize != 0 && lastObj[regionOf(tail)] < 0 {
 				pool.push(tail)
 			}
 		default:
-			if destRegion < 0 || destFill+o.size > regionStart(destRegion)+layout.RegionSize {
+			// Draw destinations until one fits: a popped entry may be a
+			// region-tail sliver smaller than the object, and an object
+			// must never straddle into the next region, whose objects
+			// may not have been copied out yet. A sliver too small is
+			// simply left behind (the fill pass plugs it).
+			for destRegion < 0 || destFill+o.size > regionStart(destRegion)+layout.RegionSize {
 				retireDest()
 				if pool.empty() {
 					return nil, ErrNoSpaceToCompact

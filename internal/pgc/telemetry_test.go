@@ -20,7 +20,7 @@ func TestParallelWorkerTimesAndSpans(t *testing.T) {
 	tel := telemetry.New()
 	h.SetTelemetry(tel)
 
-	r, err := CollectConcurrentWorkers(h, NoRoots{}, nil, workers)
+	r, err := Collect(h, NoRoots{}, StoppedWorld{}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCollectSTWSpans(t *testing.T) {
 	buildGraph(t, h, reg, 42, 500, 5)
 	tel := telemetry.New()
 	h.SetTelemetry(tel)
-	if _, err := Collect(h, NoRoots{}); err != nil {
+	if _, err := Collect(h, NoRoots{}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	snap := tel.Snapshot()
@@ -119,5 +119,36 @@ func TestCollectSTWSpans(t *testing.T) {
 	}
 	if got := snap.Counter(telemetry.CtrGCCycles.Name()); got != 1 {
 		t.Fatalf("gc.cycles = %d, want 1", got)
+	}
+}
+
+// TestCollectSTWChargesWholeCycleToPause pins the stop-the-world
+// accounting: with the world held by the caller (a nil World) marking
+// runs inside the pause, so the pause covers the whole cycle's wall time
+// and device traffic — the in-pause counters the gcpause stw row gates.
+// The same heap collected through a World charges its marking reads
+// outside the pause instead.
+func TestCollectSTWChargesWholeCycleToPause(t *testing.T) {
+	hSTW, regSTW := newHeap(t, 4<<20)
+	buildGraph(t, hSTW, regSTW, 42, 500, 5)
+	hCon, regCon := newHeap(t, 4<<20)
+	buildGraph(t, hCon, regCon, 42, 500, 5)
+	stw, err := Collect(hSTW, NoRoots{}, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stw.PauseDeviceStats != stw.DeviceStats {
+		t.Fatalf("stop-the-world pause traffic %+v != cycle traffic %+v", stw.PauseDeviceStats, stw.DeviceStats)
+	}
+	if stw.MarkTime <= 0 || stw.PauseTime < stw.MarkTime {
+		t.Fatalf("stop-the-world pause %v must cover marking %v", stw.PauseTime, stw.MarkTime)
+	}
+	con, err := Collect(hCon, NoRoots{}, StoppedWorld{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if con.PauseDeviceStats.Reads >= con.DeviceStats.Reads || con.PauseDeviceStats.Reads >= stw.PauseDeviceStats.Reads {
+		t.Fatalf("concurrent cycle charged marking to its pause: %d of %d reads in pause (stop-the-world: %d)",
+			con.PauseDeviceStats.Reads, con.DeviceStats.Reads, stw.PauseDeviceStats.Reads)
 	}
 }

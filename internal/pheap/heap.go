@@ -856,7 +856,7 @@ func IsRealTop(top int) bool { return top > regionTopHumongousCont }
 // forgets its free list — the collector is about to rearrange the heap
 // and republish region tops through the redo log — and every pending
 // remembered-set delta is published through the heap's sink, so the
-// collector that is about to run (either flavor; both call this first)
+// collection that is about to run (it calls this at both pauses)
 // observes a complete NVM→DRAM remembered set. The world must be
 // stopped, as for the collection itself.
 func (h *Heap) PrepareForCollection() {

@@ -42,17 +42,6 @@ func (h *Heap) ArrayLen(ref layout.Ref) int {
 	return int(h.dev.ReadU64(h.OffOf(ref) + layout.ArrayLenOff))
 }
 
-// MarkOf reads the mark word of the object at ref.
-func (h *Heap) MarkOf(ref layout.Ref) uint64 {
-	return h.dev.ReadU64(h.OffOf(ref) + layout.MarkWordOff)
-}
-
-// SetMark stores the mark word of the object at ref (volatile store; the
-// GC flushes explicitly where its protocol requires).
-func (h *Heap) SetMark(ref layout.Ref, mark uint64) {
-	h.dev.WriteU64(h.OffOf(ref)+layout.MarkWordOff, mark)
-}
-
 // GetWord loads the 8-byte slot at byte offset boff inside the object.
 func (h *Heap) GetWord(ref layout.Ref, boff int) uint64 {
 	return h.dev.ReadU64(h.OffOf(ref) + boff)

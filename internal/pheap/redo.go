@@ -34,15 +34,15 @@ type RedoEntry struct {
 	Val uint64
 }
 
-// RedoCapacity reports how many entries fit in the log area (the
+// redoCapacity reports how many entries fit in the log area (the
 // trailing word is the batch checksum).
-func (h *Heap) RedoCapacity() int { return (h.geo.RedoSize - 24) / 16 }
+func (h *Heap) redoCapacity() int { return (h.geo.RedoSize - 24) / 16 }
 
 // RedoCommit persists the entry batch and marks it committed. It does not
 // apply it; call RedoApply next. Splitting the two lets crash tests stop
 // between commit and apply.
 func (h *Heap) RedoCommit(entries []RedoEntry) {
-	if len(entries) > h.RedoCapacity() {
+	if len(entries) > h.redoCapacity() {
 		panic("pheap: redo log overflow")
 	}
 	base := h.geo.RedoOff
@@ -114,7 +114,7 @@ func (h *Heap) redoValidate(salv *SalvageReport) error {
 		return nil
 	case 1:
 		count := int(h.dev.ReadU64(base + 8))
-		if count < 0 || count > h.RedoCapacity() {
+		if count < 0 || count > h.redoCapacity() {
 			ok = false
 		} else if h.dev.ReadU64(h.redoSumOff()) != h.redoSumFromDevice(count) {
 			ok = false

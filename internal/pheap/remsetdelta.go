@@ -18,7 +18,7 @@ import (
 //
 //   - transaction commit (ptx.Tx publishes its batch, aborts discard it);
 //   - safepoint entry (PrepareForCollection drains every registered
-//     buffer with the world stopped, so both collectors observe a
+//     buffer with the world stopped, so every collection observes a
 //     complete remembered set);
 //   - buffer overflow (the owner drains its own buffer, amortized).
 //

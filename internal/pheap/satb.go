@@ -85,9 +85,9 @@ func (h *Heap) ReleaseSATBBuffer(b *SATBBuffer) {
 	h.satbMu.Unlock()
 }
 
-// DefaultSATBBuffer returns the heap's shared fallback buffer, used by
+// defaultSATBBuffer returns the heap's shared fallback buffer, used by
 // reference stores that run outside any mutator context.
-func (h *Heap) DefaultSATBBuffer() *SATBBuffer {
+func (h *Heap) defaultSATBBuffer() *SATBBuffer {
 	h.satbMu.Lock()
 	b := h.defaultSATBLocked()
 	h.satbMu.Unlock()
@@ -129,11 +129,11 @@ func (h *Heap) EndConcurrentMark() {
 // one-atomic-load check on every reference store.
 func (h *Heap) ConcurrentMarkActive() bool { return h.satbActive.Load() }
 
-// SATBRecordNeeded reports whether an overwritten referent must be
+// satbRecordNeeded reports whether an overwritten referent must be
 // recorded: the barrier is armed, old points into this heap, and the
 // object lies below its region's snapshot top (objects above it were
 // allocated after the snapshot and are allocate-black).
-func (h *Heap) SATBRecordNeeded(old layout.Ref) bool {
+func (h *Heap) satbRecordNeeded(old layout.Ref) bool {
 	if old == layout.NullRef || !h.satbActive.Load() || !h.Contains(old) {
 		return false
 	}
@@ -223,9 +223,9 @@ func (h *Heap) DrainSATBShard(worker, workers int, visit func(layout.Ref)) int {
 // the heap's shared default buffer. Callers gate on
 // ConcurrentMarkActive, exactly like core.storeRef.
 func (h *Heap) SATBRecordBarrier(obj layout.Ref, raw uint64, buf *SATBBuffer) {
-	if old := layout.UntagRef(layout.Ref(raw)); h.SATBRecordNeeded(old) {
+	if old := layout.UntagRef(layout.Ref(raw)); h.satbRecordNeeded(old) {
 		if buf == nil {
-			buf = h.DefaultSATBBuffer()
+			buf = h.defaultSATBBuffer()
 		}
 		buf.Record(old)
 	}

@@ -231,7 +231,7 @@ func TestCrashAtEveryFlushBoundary(t *testing.T) {
 }
 
 // phasedWorld lets the test run index mutations inside the concurrent
-// collection cycle: CollectConcurrent calls StartWorld right after the
+// collection cycle: Collect calls StartWorld right after the
 // initial handshake (snapshot taken, SATB barrier armed) and the queued
 // callback runs there — so its operations hit the armed barrier and the
 // allocate-black window, and the flush-hook crash can land anywhere in
@@ -247,7 +247,7 @@ func (w *phasedWorld) StartWorld() {
 	}
 }
 
-// TestCrashDuringConcurrentGCWithIndexTraffic crashes CollectConcurrent
+// TestCrashDuringConcurrentGCWithIndexTraffic crashes a concurrent Collect
 // at every flush boundary while index mutations run inside the cycle;
 // after pgc crash recovery plus the index recovery pass, the reloaded
 // index must hold exactly the committed mappings.
@@ -300,7 +300,7 @@ func TestCrashDuringConcurrentGCWithIndexTraffic(t *testing.T) {
 
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := pgc.CollectConcurrent(h, pgc.NoRoots{}, world)
+			_, err := pgc.Collect(h, pgc.NoRoots{}, world, 1)
 			return err
 		})
 		if err != nil {

@@ -43,12 +43,12 @@
 //
 // # GC integration
 //
-// The index header is a named heap root, so both collectors trace the
+// The index header is a named heap root, so every collection traces the
 // whole structure; the concurrent marker and the compactor understand
 // the tag bits (layout.RefTagMask) and preserve them across moves.
 // Mutating operations run the SATB pre-write barrier on every link
 // overwrite (through the Ctx's own buffer), so lookups stay correct
-// while pgc.CollectConcurrent marks. Each operation runs as one
+// while a concurrent pgc.Collect marks. Each operation runs as one
 // safepoint interval through the Pinner, so compaction never moves a
 // node out from under an operation's local references.
 package pindex

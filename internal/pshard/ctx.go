@@ -20,11 +20,11 @@ import (
 // second pin can deadlock behind a waiting collector pause.
 //
 // On a degraded set, operations routed to a quarantined shard fail
-// with an error matching ErrShardQuarantined (Put, PutRef, Lookup,
-// Remove) or report absence (Get, GetRef, Delete — their signatures
-// cannot carry the distinction; use the erroring variants when it
-// matters). A shard that reopens behind a ctx is picked up
-// transparently: the ctx notices the new instance and re-attaches.
+// with an error matching ErrShardQuarantined (Put, Lookup, Remove) or
+// report absence (Get, Delete — their signatures cannot carry the
+// distinction; use the erroring variants when it matters). A shard that
+// reopens behind a ctx is picked up transparently: the ctx notices the
+// new instance and re-attaches.
 type Ctx struct {
 	set      *Set
 	subs     []*pindex.Ctx
@@ -128,33 +128,6 @@ func (c *Ctx) Remove(key int64) (bool, error) {
 	}
 	defer sh.world.RUnlock()
 	return sub.Delete(key), nil
-}
-
-// PutRef durably maps key → an object reference. The referent must live
-// in the owning shard's heap (pindex rejects anything else): shards
-// never hold cross-shard references, which is what keeps their recovery
-// and GC independent. Use ShardOf + Shard(i).Heap() to allocate in the
-// right shard, inside a Do interval.
-func (c *Ctx) PutRef(key int64, val layout.Ref) error {
-	i := c.set.mani.ShardOf(key)
-	sh, sub, err := c.acquire(i)
-	if err != nil {
-		return err
-	}
-	defer sh.world.RUnlock()
-	return sub.Put(key, val)
-}
-
-// GetRef looks up the raw reference mapped to key. A quarantined shard
-// reads as absent.
-func (c *Ctx) GetRef(key int64) (layout.Ref, bool) {
-	i := c.set.mani.ShardOf(key)
-	sh, sub, err := c.acquire(i)
-	if err != nil {
-		return layout.NullRef, false
-	}
-	defer sh.world.RUnlock()
-	return sub.Get(key)
 }
 
 // Do runs fn pinned on key's owning shard (no collection of that shard

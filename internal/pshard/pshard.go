@@ -58,9 +58,9 @@ type Options struct {
 	Telemetry bool
 	// FlightRecorder enables the per-shard NVM flight recorder: each
 	// shard's heap journals its publication points (open, recovery, GC)
-	// into the ring its image always carries, and Set.FlightTimelines
-	// decodes them post-mortem. Off by default; the disabled state is a
-	// nil recorder, which appends nothing.
+	// into the ring its image always carries, for `heaptool postmortem`
+	// to decode. Off by default; the disabled state is a nil recorder,
+	// which appends nothing.
 	FlightRecorder bool
 	// Degraded switches OpenSet from fail-fast to fence-and-serve: a
 	// shard whose image cannot be loaded or recovered is quarantined
@@ -475,40 +475,10 @@ func (s *Set) Metrics() telemetry.Snapshot {
 	return agg
 }
 
-// FlightTimelines decodes every shard's flight-recorder ring into one
-// merged, sequence-preserving view: each shard's timeline is returned in
-// shard order, with every event re-tagged with its shard index (the
-// on-media records carry no shard — the device identifies the shard, and
-// the re-tag keeps that identity once timelines leave their devices).
-// Decoding is read-only and works whether or not recording was enabled
-// this run; an all-zero ring simply decodes to an empty timeline.
-func (s *Set) FlightTimelines() ([]blackbox.Timeline, error) {
-	out := make([]blackbox.Timeline, len(s.shards))
-	for i := range s.shards {
-		sh := s.shard(i)
-		if sh == nil {
-			continue // quarantined: its ring is unreachable until reopen
-		}
-		geo := sh.heap.Geo()
-		if geo.BlackboxSize == 0 {
-			continue // pre-flight-recorder image upgraded in place
-		}
-		tl, err := blackbox.Decode(sh.heap.Device(), geo.BlackboxOff, geo.BlackboxSize)
-		if err != nil {
-			return nil, fmt.Errorf("pshard: decoding shard %d journal: %w", i, err)
-		}
-		for j := range tl.Events {
-			tl.Events[j].Shard = i
-		}
-		out[i] = tl
-	}
-	return out, nil
-}
-
-// GCShard runs a crash-consistent collection of one shard. Only that
-// shard's operations pause — its world lock is taken for the compaction,
-// while every other shard keeps serving. Collecting shards one at a time
-// is how a sharded deployment staggers its pauses.
+// GCShard runs a crash-consistent stop-the-world collection of one shard.
+// Only that shard's operations pause — its world lock is held for the
+// cycle — while every other shard keeps serving. Collecting shards one
+// at a time is how a sharded deployment staggers its pauses.
 func (s *Set) GCShard(i int) (pgc.Result, error) {
 	sh := s.shard(i)
 	if sh == nil {
@@ -520,7 +490,7 @@ func (s *Set) GCShard(i int) (pgc.Result, error) {
 	// which shard was collecting; the append's flush precedes the
 	// collection's first fence.
 	sh.heap.FlightRecorder().Append(blackbox.EvShardGC, uint64(i), 0, 0)
-	return pgc.Collect(sh.heap, pgc.NoRoots{})
+	return pgc.Collect(sh.heap, pgc.NoRoots{}, nil, 1)
 }
 
 // GCAll collects every shard, one at a time (staggered pauses: at any

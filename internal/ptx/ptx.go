@@ -18,7 +18,7 @@
 // stores go through WriteRefWord, which runs the SATB pre-write barrier
 // and a single atomic machine store, so ptx transactions — and the
 // legacy pcollections built on them — stay correct while
-// pgc.CollectConcurrent marks. Aborts and rollbacks re-run the barrier
+// a concurrent pgc.Collect marks. Aborts and rollbacks re-run the barrier
 // for the reference entries they restore.
 //
 // Reference stores also feed the runtime's NVM→DRAM remembered set when

@@ -47,7 +47,7 @@ func buildCrashedImage(t *testing.T) []byte {
 	if err := h.SetRoot("head", prev); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pgc.Collect(h, pgc.NoRoots{}); err != nil {
+	if _, err := pgc.Collect(h, pgc.NoRoots{}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	return h.Device().CrashImage(nvm.CrashFlushedOnly, 0)

@@ -128,14 +128,14 @@ func (h *Heap) InEden(ref layout.Ref) bool {
 	return ref >= h.edenBase && ref < h.edenBase+layout.Ref(h.edenSize)
 }
 
-// InSurvivor reports whether ref lies in either survivor space.
-func (h *Heap) InSurvivor(ref layout.Ref) bool {
+// inSurvivor reports whether ref lies in either survivor space.
+func (h *Heap) inSurvivor(ref layout.Ref) bool {
 	return (ref >= h.survBase[0] && ref < h.survBase[0]+layout.Ref(h.survSize)) ||
 		(ref >= h.survBase[1] && ref < h.survBase[1]+layout.Ref(h.survSize))
 }
 
 // InYoung reports whether ref lies in the young generation.
-func (h *Heap) InYoung(ref layout.Ref) bool { return h.InEden(ref) || h.InSurvivor(ref) }
+func (h *Heap) InYoung(ref layout.Ref) bool { return h.InEden(ref) || h.inSurvivor(ref) }
 
 // InOld reports whether ref lies in the old generation.
 func (h *Heap) InOld(ref layout.Ref) bool {

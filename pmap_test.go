@@ -96,7 +96,7 @@ func TestPMapSurvivesConcurrentGC(t *testing.T) {
 	gcDone := make(chan error, 1)
 	go func() {
 		for cycle := 0; cycle < 3; cycle++ {
-			if _, err := rt.PersistentGCConcurrent("kv"); err != nil {
+			if _, err := rt.PersistentGC("kv"); err != nil {
 				gcDone <- err
 				return
 			}
@@ -113,7 +113,7 @@ func TestPMapSurvivesConcurrentGC(t *testing.T) {
 		}
 	}
 	// One more cycle against the quiescent map, then verify exactly.
-	if _, err := rt.PersistentGCConcurrent("kv"); err != nil {
+	if _, err := rt.PersistentGC("kv"); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < goroutines; g++ {

@@ -93,7 +93,7 @@ func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := rt.PersistentGCConcurrent("churn"); err != nil {
+			if _, err := rt.PersistentGC("churn"); err != nil {
 				t.Errorf("concurrent GC: %v", err)
 				return
 			}
